@@ -2,16 +2,22 @@
 
 The host this benchmark runs on shares its CPUs with other tenants, and
 the speed of a fixed piece of Python work drifts by 2x within a minute.
-Process CPU time drifts the same way (the slowdown is not time spent
+Thread CPU time drifts the same way (the slowdown is not time spent
 descheduled), so the benchmark corrects for it by measurement: it runs a
 short slice of a fixed kernel every ``every`` seconds, between the units
-of measured work, and scales each measured interval by
+of measured work, times it on the thread's CPU clock, and scales each
+measured interval by
 
     REFERENCE_SLICE_S / (kernel time measured next to the interval)
 
 A calibrated value is therefore "seconds on a host where one kernel
-slice takes REFERENCE_SLICE_S". Raw values and the kernel times are kept
-beside every calibrated metric as diagnostics.
+slice takes REFERENCE_SLICE_S". The slice is timed with
+``time.thread_time`` rather than the wall clock: every process of a run
+shares one CPU, so a server's background work (gossip, replication)
+that preempts a slice would otherwise count as host slowness and divide
+part of the program's own cost out of the measured intervals. Raw values
+and the kernel times are kept beside every calibrated metric as
+diagnostics.
 
 The kernel and the reference constant are frozen: changing either
 changes every calibrated number, so a change to this file is a change to
@@ -60,13 +66,15 @@ class Calibrator:
         self._starts: List[float] = []
 
     def slice(self) -> float:
-        """Run one slice now and record it; returns its time."""
+        """Run one slice now and record it; returns its CPU time. The
+        slice is placed on the ``perf_counter`` timeline, but timed on
+        this thread's CPU clock."""
         times = []
         start = time.perf_counter()
         for _ in range(SLICE_REPS):
-            t0 = time.perf_counter()
+            t0 = time.thread_time()
             kernel()
-            times.append(time.perf_counter() - t0)
+            times.append(time.thread_time() - t0)
         end = time.perf_counter()
         k = statistics.median(times)
         self.samples.append((start, end, k))

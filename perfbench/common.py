@@ -3,15 +3,14 @@ correctness gate and server subprocess management."""
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
-import math
 import os
 import platform
 import shutil
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -74,29 +73,16 @@ def out_dir(workload: str, seed: int, traced: bool) -> Path:
     return path
 
 
-def collect() -> None:
-    """Full collection before a timed unit, so one unit's garbage is
-    not charged to the next."""
-    gc.collect()
-
-
 # -- statistics ---------------------------------------------------------------
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in 0..100)."""
-    if not values:
-        raise ValueError("percentile of no samples")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
-def median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+def percentile(values: Sequence[float], q: int) -> float:
+    """The ``q``-th percentile (``q`` in 1..99), interpolated between the
+    closest ranks. Interpolation keeps a percentile of a few samples
+    (offline's passes) from reading a single extreme one."""
+    if len(values) == 1:
+        return values[0]
+    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
 # -- provenance ---------------------------------------------------------------
@@ -149,6 +135,14 @@ def vmhwm_mb(pid: Optional[int] = None) -> float:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024.0
     raise RuntimeError(f"no VmHWM in {path}")
+
+
+def cpu_seconds(pid: int) -> float:
+    """User + system CPU time of a process so far (``/proc/<pid>/stat``)."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    # utime and stime are fields 14 and 15; ``fields`` starts at field 3.
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 # -- the correctness gate -----------------------------------------------------
@@ -224,6 +218,7 @@ class Server:
         self.port: Optional[int] = None
         self.launch_s: Optional[float] = None  # raw launch-to-accept
         self.exit_code: Optional[int] = None  # set once reaped
+        self.cpu_s: Optional[float] = None  # utime + stime, read at stop
 
     def start(self, timeout: float = 60.0) -> float:
         """Launch and wait until the server accepts a connection.
@@ -268,6 +263,13 @@ class Server:
                     break
             time.sleep(0.002)
         self.launch_s = time.perf_counter() - t0
+        # Untimed: one STATS round trip proves the serve loop is running.
+        # The listening socket accepts before it is, and a SIGINT sent in
+        # that gap leaves the server running until it is killed.
+        from repro.service.client import ServiceClient
+
+        with ServiceClient("127.0.0.1", self.port) as client:
+            client.stats()
         return t0
 
     @property
@@ -278,11 +280,13 @@ class Server:
         return vmhwm_mb(self.proc.pid)
 
     def stop(self) -> None:
-        """Interrupt, wait, and kill if it does not exit; always reaps."""
+        """Record the CPU time used, then interrupt, wait, and kill if it
+        does not exit; always reaps."""
         proc = self.proc
         if proc is None:
             return
         if proc.poll() is None:
+            self.cpu_s = cpu_seconds(proc.pid)
             proc.send_signal(signal.SIGINT)
             try:
                 proc.wait(timeout=15)

@@ -13,12 +13,13 @@ enters reads 0 there (no call was made).
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from calib import Calibrator
-from common import ANALYSES, collect
+from common import ANALYSES
 
 #: name -> (unit, better, end-to-end metrics it moves, workloads)
 LAYERS: Dict[str, Tuple[str, str, str, str]] = {
@@ -270,7 +271,7 @@ def solo_runs(ctx, traces: Sequence[Any]) -> None:
     packs = [t if isinstance(t, PackedTrace) else pack(t) for t in traces]
     for name, layer in SOLO:
         for packed in packs:
-            collect()
+            gc.collect()
             ctx.cal.tick()
             with ctx.tracer.span(layer):
                 Session(packed, [name]).run()

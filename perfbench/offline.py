@@ -11,14 +11,16 @@ service does.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import subprocess
 import sys
 import time
 from typing import Any, Dict, List
 
 import ledger
-from common import ANALYSES, HERE, child_env, collect, digest, median, percentile, vmhwm_mb
+from common import ANALYSES, HERE, child_env, digest, percentile, vmhwm_mb
 
 #: Corpus scale: about 245k events over 21 traces.
 SCALE = 0.5
@@ -49,7 +51,7 @@ def run(ctx) -> Dict[str, Any]:
         intervals = []
         for entry in manifest:
             cal.tick()
-            collect()
+            gc.collect()
             path = str(corpus / entry["file"])
             with ledger.maybe_span(ctx.traced and rep == 0, tracer, "trace.load"):
                 t0 = time.perf_counter()
@@ -72,7 +74,7 @@ def run(ctx) -> Dict[str, Any]:
         traced_pass = ctx.traced and passes % 2 == 1
         for entry, packed in zip(manifest, packs):
             cal.tick()
-            collect()
+            gc.collect()
             attempted += 1
             with ledger.maybe_span(traced_pass, tracer, "api.session.run"):
                 t0 = time.perf_counter()
@@ -117,14 +119,14 @@ def run(ctx) -> Dict[str, Any]:
         ],
         "e2e": {
             "events_per_s": {
-                "value": median([n / c for c, _r, n in jobs.values()]),
+                "value": statistics.median([n / c for c, _r, n in jobs.values()]),
                 "unit": "events/s",
-                "raw": median([n / r for _c, r, n in jobs.values()]),
+                "raw": statistics.median([n / r for _c, r, n in jobs.values()]),
                 "n": len(jobs), "events": events,
             },
             "setup_s": {
-                "value": median(setup_cal), "unit": "s",
-                "raw": median(setup_raw), "n": len(setup_cal),
+                "value": statistics.median(setup_cal), "unit": "s",
+                "raw": statistics.median(setup_raw), "n": len(setup_cal),
                 "samples": setup_cal,
             },
             "peak_rss_mb": {"value": vmhwm_mb(), "unit": "MB", "n": 1},

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import gc
 import random
+import statistics
 import time
 from typing import Any, Dict, List
 
 import ledger
-from common import ANALYSES, Server, collect, compare, digest, median, percentile
+from common import ANALYSES, Server, compare, digest, percentile
 
 #: Table 2 row scale: 1.5k–2.4k events per row.
 ROW_SCALE = 0.15
@@ -94,6 +95,7 @@ def run(ctx) -> Dict[str, Any]:
         "spool": "fresh per node",
         "servers_reaped": {n.name: n.exit_code for n in warms + nodes},
     }
+    out["server_cpu_s"] = {n.name: n.cpu_s for n in warms + nodes}
     return out
 
 
@@ -134,7 +136,7 @@ def _measure(ctx, nodes, cycle, references, launches, traces) -> Dict[str, Any]:
         traced = ctx.traced and (i // len(cycle)) % 2 == 1
         name, events = cycle[position]
         cal.tick()
-        collect()
+        gc.collect()
         with ledger.maybe_timed(traced, ClusterClient, "refresh", tracer,
                                 "cluster.client.refresh"), \
                 ledger.maybe_timed(traced, ServiceClient, "open_session",
@@ -203,14 +205,14 @@ def _measure(ctx, nodes, cycle, references, launches, traces) -> Dict[str, Any]:
         "stats": counters,
         "e2e": {
             "events_per_s": {
-                "value": median([n / c for n, c, _r in cycles]),
+                "value": statistics.median([n / c for n, c, _r in cycles]),
                 "unit": "events/s",
-                "raw": median([n / r for n, _c, r in cycles]),
+                "raw": statistics.median([n / r for n, _c, r in cycles]),
                 "n": len(cycles), "events": events,
             },
             "setup_s": {
-                "value": median(setup), "unit": "s",
-                "raw": median([b - a for a, b in launches]), "n": len(setup),
+                "value": statistics.median(setup), "unit": "s",
+                "raw": statistics.median([b - a for a, b in launches]), "n": len(setup),
                 "samples": setup,
             },
             "peak_rss_mb": {"value": rss, "unit": "MB", "n": len(nodes)},
@@ -237,7 +239,7 @@ def _ledger(ctx, sessions, cycle, counters, traces):
     plain = [s for s in sessions if not s[3]]
     cycles = len(traced) / len(cycle)
     replay = ledger.Replay(ctx, ctx.tmp / "replay-spool")
-    collect()
+    gc.collect()
     cal.slice()
     for k, (name, events) in enumerate(cycle):
         batches = [events[i:i + BATCH] for i in range(0, len(events), BATCH)]

@@ -15,10 +15,10 @@ calib.py); with ``--trace 1`` it measures the per-layer ledger instead
 and writes ``trace.jsonl`` and ``layers.md`` beside ``result.json``
 under ``perfbench/_work/out/``. Every report is checked against an
 offline reference; the last line of standard output is one JSON object
-``{"correct", "attempted", "failed", "metrics"}``. A completed run
-exits 0 whether or not it was correct (``--check`` makes an incorrect
-one exit 1); a checkout without the program's ``src/`` exits 2 without
-a result. ``--workload all`` runs the three workloads in turn.
+``{"correct", "attempted", "failed", "metrics"}``. A correct run exits
+0; a run that fails the correctness gate still prints its result, and
+exits 1. A checkout without the program's ``src/`` exits 2 without a
+result. ``--workload all`` runs the three workloads in turn.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scale", type=float, default=1.0,
         help="multiply every workload size (smoke tests use a small one)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when any output fails the correctness gate",
     )
     args = parser.parse_args(argv)
     if not src_present():
@@ -147,7 +143,7 @@ def main(argv=None) -> int:
         "failed": result["failed"],
         "metrics": metrics,
     }))
-    return 1 if args.check and not correct else 0
+    return 0 if correct else 1
 
 
 def _run_all(args) -> int:
@@ -164,18 +160,21 @@ def _run_all(args) -> int:
             capture_output=True, text=True,
         )
         lines = proc.stdout.splitlines()
-        if proc.returncode != 0 or not lines:
+        try:
+            doc = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            # No result line: the workload crashed rather than failed its
+            # correctness gate.
             sys.stderr.write(proc.stderr)
             return proc.returncode or 1
         print("\n".join(lines[:-1]))
-        doc = json.loads(lines[-1])
         merged["correct"] = merged["correct"] and doc["correct"]
         merged["attempted"] += doc["attempted"]
         merged["failed"] += doc["failed"]
         for metric, entry in doc["metrics"].items():
             merged["metrics"][f"{name}/{metric}"] = entry
     print(json.dumps(merged))
-    return 1 if args.check and not merged["correct"] else 0
+    return 0 if merged["correct"] else 1
 
 
 def _print_human(workload: str, result: Dict[str, Any], traced: bool) -> None:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import gc
 import socket
+import statistics
 import time
 from typing import Any, Dict, List
 
 import ledger
-from common import ANALYSES, Server, collect, compare, compare_delivered, digest, median, percentile
+from common import ANALYSES, Server, compare, compare_delivered, digest, percentile
 
 #: Raytracer scale: 16,000 events and about 4,700 race findings.
 SCALE = 0.32
@@ -86,6 +87,7 @@ def run(ctx) -> Dict[str, Any]:
         "spool": "fresh per server launch",
         "servers_reaped": {s.name: s.exit_code for s in servers},
     }
+    out["server_cpu_s"] = {s.name: s.cpu_s for s in servers}
     return out
 
 
@@ -102,7 +104,7 @@ def _measure(ctx, server, name, windows, reference, launches) -> Dict[str, Any]:
     k = 0
     while k < MIN_STREAMS or time.perf_counter() < deadline:
         traced = ctx.traced and k % 2 == 1
-        collect()
+        gc.collect()
         cal.tick()
         record = {"traced": traced, "windows": [], "events": 0}
         side = _SideStats(server.port) if traced else None
@@ -172,14 +174,14 @@ def _measure(ctx, server, name, windows, reference, launches) -> Dict[str, Any]:
         "stats": {"busy_replies": busy, "queue_depth_hwm": depth_hwm},
         "e2e": {
             "events_per_s": {
-                "value": median([s["events"] / t for s, t in zip(plain, stream_s)]),
+                "value": statistics.median([s["events"] / t for s, t in zip(plain, stream_s)]),
                 "unit": "events/s",
-                "raw": median([s["events"] / t for s, t in zip(plain, stream_raw)]),
+                "raw": statistics.median([s["events"] / t for s, t in zip(plain, stream_raw)]),
                 "n": len(plain), "events": total_events,
             },
             "setup_s": {
-                "value": median(setup), "unit": "s",
-                "raw": median([b - a for a, b in launches]), "n": len(setup),
+                "value": statistics.median(setup), "unit": "s",
+                "raw": statistics.median([b - a for a, b in launches]), "n": len(setup),
                 "samples": setup,
             },
             "peak_rss_mb": {"value": rss, "unit": "MB", "n": 1},
@@ -241,7 +243,7 @@ def _ledger(ctx, streams, trace, batches, stats):
     traced = [s for s in streams if s["traced"]]
     plain = [s for s in streams if not s["traced"]]
     replay = ledger.Replay(ctx, ctx.tmp / "replay-spool")
-    collect()
+    gc.collect()
     cal.slice()
     replay.run("replay", trace.name, batches)
     ledger.solo_runs(ctx, [trace])

@@ -4,8 +4,9 @@
 
 Each workload runs and prints every named metric, a second seed runs,
 the traced run reports every per-layer metric, a corrupted report is
-caught by the correctness gate, and a directory without the program
-exits non-zero without a result.
+caught by the correctness gate (on its own, and end to end, where it
+makes the run exit 1), and a directory without the program exits
+non-zero without a result.
 """
 
 from __future__ import annotations
@@ -110,6 +111,38 @@ def test_gate_catches_a_corrupted_report():
         for v in races["violations"]  # one finding short
     ]
     assert compare_delivered(reference, delivered)
+
+
+#: Runs the stream workload with every server report corrupted before
+#: the gate compares it: the first analysis's verdict is replaced.
+CORRUPTED_RUN = """
+import sys
+sys.path.insert(0, "perfbench")
+import common
+honest = common.compare
+
+def compare(reference, report):
+    report["analyses"][0]["verdict"] = "corrupted"
+    return honest(reference, report)
+
+common.compare = compare
+import run
+raise SystemExit(run.main(sys.argv[1:]))
+"""
+
+
+def test_corrupted_run_fails_end_to_end():
+    proc = subprocess.run(
+        [sys.executable, "-c", CORRUPTED_RUN, "--workload", "stream",
+         "--seed", "3", "--seconds", "1", "--trace", "0", "--scale", "0.05"],
+        cwd=str(ROOT), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr[-3000:]
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["correct"] is False
+    assert doc["failed"] >= 1 and doc["failed"] <= doc["attempted"]
+    assert list(doc["metrics"]) == END_TO_END
+    assert "MISMATCH" in proc.stdout
 
 
 def test_fails_without_the_program(tmp_path):
