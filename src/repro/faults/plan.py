@@ -37,7 +37,7 @@ PLAN_VERSION = "repro-faults/1"
 SITES: Dict[str, tuple] = {
     # client -> server frame about to be sent (ServiceClient)
     "wire.send": ("truncate", "corrupt", "reset"),
-    # server -> client reply about to be sent (_Handler)
+    # server -> client reply about to be sent (WireConnection)
     "wire.reply": ("truncate", "corrupt", "reset"),
     # a decoded EVENTS batch about to be routed (at-least-once delivery)
     "server.events": ("duplicate",),

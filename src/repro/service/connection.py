@@ -7,20 +7,18 @@ typed error-to-``ERROR``-frame mapping, and the ``wire.reply`` /
 through :meth:`WireConnection.receive_bytes`, encoded reply frames
 come out through :attr:`WireConnection.outbox`, and shard replies are
 :class:`~repro.service.router._Future`\\ s the transport chooses how to
-wait on. That inversion is what lets the threaded backend (one blocked
-handler thread per connection) and the ``selectors`` event-loop backend
-(thousands of connections on one thread) — and the chaos drills on both
-— share every byte of protocol logic.
+wait on. That inversion keeps every byte of protocol logic out of the
+``selectors`` event loop in :mod:`repro.service.server` (thousands of
+connections on one thread), and lets the chaos drills and unit tests
+drive it without sockets.
 
-The driving contract, for either backend::
+The driving contract::
 
     wire.receive_bytes(chunk)          # as bytes arrive
     futures = wire.pump()              # advance the state machine
     # futures is None  -> idle: write wire.outbox, read more bytes
-    # futures is [...] -> a shard owes replies: block on them (thread
-    #                     backend) or subscribe a wakeup and keep
-    #                     serving other sockets (async backend), then
-    #                     pump() again
+    # futures is [...] -> a shard owes replies: subscribe a wakeup and
+    #                     keep serving other sockets, then pump() again
     # wire.reset             -> drop the socket, sending nothing
     # wire.close_after_send  -> close once outbox is flushed
 
@@ -57,7 +55,7 @@ class WireConnection:
     Args:
         router: The shard router commands are submitted to (always via
             the non-blocking ``submit_*`` surface — a full shard inbox
-            is an immediate ``BUSY`` frame on either backend).
+            is an immediate ``BUSY`` frame).
         count: ``count(name)`` server-counter hook (busy_replies,
             read_timeouts, wire_errors).
         counters: Zero-arg callable returning the server-level counter
@@ -170,14 +168,6 @@ class WireConnection:
             )
         else:
             self.close_after_send = True
-
-    def fail_pending(self, message: str) -> None:
-        """Give up on the in-flight command (reply deadline passed)."""
-        if self._pending is None:
-            return
-        self._pending = None
-        log.error("router error %s: %s", self._where(), message)
-        self._error("session", message)
 
     # -- protocol internals -------------------------------------------------
 

@@ -49,12 +49,10 @@ incremental decoder fed arbitrary byte chunks (it owns a compacting
 ring buffer of :class:`memoryview`-sliced bytes, so partial frames cost
 nothing and no per-frame ``bytes`` joins ever happen), and
 :class:`FrameEncoder` is its outbound twin. Neither knows what a socket
-is — the blocking shim :class:`FrameStream` (client SDK, threaded
-server backend) and the ``selectors`` event loop
-(:mod:`repro.service.server`'s async backend) both drive the same
-codec, which is what keeps the two I/O stacks byte-for-byte
-equivalent. The old blocking :func:`read_frame` survives as a
-deprecation shim over the decoder.
+is. The server's ``selectors`` event loop
+(:mod:`repro.service.server`) feeds the decoder whatever ``recv``
+returns; the blocking shim :class:`FrameStream` drives the same codec
+for the client SDK and for one-shot peer calls between cluster nodes.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from __future__ import annotations
 import io
 import json
 import struct
-import warnings
 import zlib
 from enum import IntEnum
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -282,8 +279,8 @@ class FrameEncoder:
     """Outbound half of the codec: frames in, counted bytes out.
 
     Stateless apart from its counters (the wire format needs no
-    outbound state) — it exists so both server backends account their
-    reply traffic identically for ``service-stats``.
+    outbound state) — it exists so the server accounts its reply
+    traffic for ``service-stats``.
     """
 
     __slots__ = ("frames_encoded", "bytes_encoded")
@@ -309,9 +306,9 @@ class FrameStream:
 
     Wraps a binary stream (a socket ``makefile`` or any object with
     ``read(n)``) and yields frames. This is the *one* blocking read
-    loop in the codebase — the client SDK and the threaded server
-    backend both use it, so there are no duplicated read/dispatch
-    loops to drift apart.
+    loop in the codebase: the client SDK and the cluster's peer calls
+    use it; no server front end does (the event loop feeds a
+    :class:`FrameDecoder` directly).
     """
 
     __slots__ = ("_stream", "_decoder")
@@ -364,43 +361,6 @@ def decode_frame(
     if len(data) < end:
         return None
     return ftype, bytes(data[offset + _HEADER.size : end]), end
-
-
-def read_frame(stream) -> Optional[Tuple[int, bytes]]:
-    """Deprecated: read one frame from a blocking binary stream.
-
-    A shim over :class:`FrameStream` kept for older callers; it reads
-    exactly one frame's bytes, so interleaving it with other reads on
-    the same stream still works. New code should hold a
-    :class:`FrameStream` (blocking) or drive a :class:`FrameDecoder`
-    (event loop) instead.
-
-    Returns ``(type, payload)``, or ``None`` on a clean EOF at a frame
-    boundary.
-
-    Raises:
-        FrameError: On EOF inside a frame, oversize, or unknown type.
-    """
-    warnings.warn(
-        "repro.service.protocol.read_frame is deprecated; use "
-        "FrameStream (blocking) or FrameDecoder (incremental) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    decoder = FrameDecoder()
-    header = stream.read(_HEADER.size)
-    if not header:
-        return None
-    decoder.feed(header)
-    if len(header) < _HEADER.size:
-        raise FrameError("truncated frame header")
-    need = decoder.needed()
-    if need:
-        payload = stream.read(need)
-        decoder.feed(payload)
-        if len(payload) < need:
-            raise FrameError("truncated frame payload")
-    return decoder.next_frame()
 
 
 # -- JSON payloads ----------------------------------------------------------

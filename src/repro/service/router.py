@@ -116,7 +116,7 @@ class ShardCrashed(RouterError):
 class _Future:
     """A one-shot reply slot for shard commands.
 
-    Blocking callers :meth:`wait`; the event-loop backend instead
+    Blocking callers :meth:`wait`; the server's event loop instead
     :meth:`subscribe`\\ s a callback (fired from the resolving shard's
     thread — subscribers must be thread-safe, e.g. poke a wakeup pipe)
     and later reads :meth:`result` without ever blocking.
@@ -242,8 +242,10 @@ class ShardWorker:
         self.checkpoint_lag = self.metrics.histogram(
             "repro_shard_checkpoint_lag",
             "Events between consecutive checkpoints")
-        #: Findings per tenant session — the per-tenant violation counts
-        #: surfaced on the stats doc and the prom exposition.
+        #: Findings per open tenant session — the per-tenant violation
+        #: counts surfaced on the stats doc and the prom exposition.
+        #: :meth:`_drop` removes a session's entry with the session, so
+        #: neither memory nor the label set grows with closed sessions.
         self.tenant_violations: Dict[str, int] = {}
 
     # -- command handlers (dispatched by name) -----------------------------
@@ -445,6 +447,7 @@ class ShardWorker:
     def _drop(self, session_id: str) -> None:
         self.sessions.pop(session_id, None)
         self._last_checkpoint.pop(session_id, None)
+        self.tenant_violations.pop(session_id, None)
         if self.recovery is not None:
             self.recovery.delete(session_id)
 
@@ -1087,7 +1090,7 @@ class Router:
         """Adopt a handed-off session (higher position wins on conflict)."""
         return self._shard(session_id).call("import", blob)
 
-    # -- non-blocking surface (the event-loop backend) ---------------------
+    # -- non-blocking surface (the server's event loop) --------------------
     #
     # Same commands, but the caller gets the reply _Future instead of a
     # blocked thread: the selectors loop subscribes a wakeup callback
@@ -1110,7 +1113,7 @@ class Router:
         )
 
     def submit_import(self, session_id: str, blob: bytes) -> _Future:
-        """Non-blocking :meth:`import_session` (the event-loop backend
+        """Non-blocking :meth:`import_session` (the server's event loop
         must never park its only thread on a shard reply)."""
         return self._shard(session_id).submit("import", blob)
 

@@ -179,12 +179,10 @@ class TestRouter:
 # -- live server: the agreement property ------------------------------------
 
 
-@pytest.fixture(scope="module", params=["thread", "async"])
-def server(request):
-    """One live server per wire backend — every test below runs against
-    both the thread-per-connection and the selectors event-loop front
-    end, which is what keeps the two byte-for-byte equivalent."""
-    with ServiceServer(shards=2, backend=request.param).start() as srv:
+@pytest.fixture(scope="module")
+def server():
+    """One live server shared by the tests below."""
+    with ServiceServer(shards=2).start() as srv:
         yield srv
 
 
@@ -210,8 +208,7 @@ def test_zoo_agreement_over_live_server(server):
         validate_report(doc)
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
-def test_zoo_agreement_with_restart_mid_stream(tmp_path, backend):
+def test_zoo_agreement_with_restart_mid_stream(tmp_path):
     """Satellite property: checkpoint, kill the server, restart from
     the spool, resume, and the report still matches offline."""
     spool = tmp_path / "spool"
@@ -220,7 +217,7 @@ def test_zoo_agreement_with_restart_mid_stream(tmp_path, backend):
         base = offline_doc(spec.trace(), name=spec.name)
         cut = random.Random(100 + i).randint(1, max(1, len(trace) - 1))
         sid = f"restart-{spec.name}"
-        with ServiceServer(shards=2, spool=spool, backend=backend).start() as first:
+        with ServiceServer(shards=2, spool=spool).start() as first:
             part = submit_trace(
                 first.host,
                 first.port,
@@ -235,7 +232,7 @@ def test_zoo_agreement_with_restart_mid_stream(tmp_path, backend):
             assert part["open"] and part["position"] == cut
         # first server is gone (stop() ≈ the crash); a new incarnation
         # recovers the session from the spool.
-        with ServiceServer(shards=2, spool=spool, backend=backend).start() as second:
+        with ServiceServer(shards=2, spool=spool).start() as second:
             assert sid in second.recovered
             doc = submit_trace(
                 second.host,
@@ -324,6 +321,18 @@ def test_events_before_hello_is_an_error(server):
                     protocol.encode_events_text([]),
                 )
             )
+
+
+def test_stop_returns_on_a_server_that_never_served():
+    """stop() before any serve loop ran must not wait for one (a SIGINT
+    between bind and serve reaches stop() in ``repro serve``)."""
+    import threading
+
+    server = ServiceServer(port=0, metrics_port=0)
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(2.0)
+    assert not stopper.is_alive(), "stop() hung on a never-started server"
 
 
 def test_stats_frame(server):

@@ -18,6 +18,7 @@ from repro.service.protocol import (
     DeltaDecoder,
     DeltaEncoder,
     FrameError,
+    FrameStream,
     FrameType,
     PayloadError,
     WireError,
@@ -28,7 +29,6 @@ from repro.service.protocol import (
     encode_frame,
     encode_json,
     parse_hello,
-    read_frame,
 )
 from repro.sim.random_traces import RandomTraceConfig, random_trace
 
@@ -76,13 +76,16 @@ def test_unknown_frame_type_rejected():
 
 
 def test_read_frame_truncation_and_eof():
+    def read_frame(data):
+        return FrameStream(io.BytesIO(data)).read_frame()
+
     frame = encode_frame(FrameType.OK, b"abc")
-    assert read_frame(io.BytesIO(frame)) == (FrameType.OK, b"abc")
-    assert read_frame(io.BytesIO(b"")) is None  # clean EOF
+    assert read_frame(frame) == (FrameType.OK, b"abc")
+    assert read_frame(b"") is None  # clean EOF
     with pytest.raises(FrameError, match="truncated"):
-        read_frame(io.BytesIO(frame[:-1]))
+        read_frame(frame[:-1])
     with pytest.raises(FrameError, match="truncated"):
-        read_frame(io.BytesIO(frame[:2]))
+        read_frame(frame[:2])
 
 
 @settings(max_examples=80, deadline=None)
@@ -99,11 +102,11 @@ def test_corrupted_frame_stream_never_crashes(position, byte, seed):
         + encode_frame(FrameType.CLOSE)
     )
     data[position % len(data)] = byte
-    stream = io.BytesIO(bytes(data))
+    stream = FrameStream(io.BytesIO(bytes(data)))
     decoder = DeltaDecoder()
     try:
         while True:
-            frame = read_frame(stream)
+            frame = stream.read_frame()
             if frame is None:
                 break
             ftype, payload = frame
@@ -118,10 +121,10 @@ def test_corrupted_frame_stream_never_crashes(position, byte, seed):
 @settings(max_examples=60, deadline=None)
 @given(junk=st.binary(min_size=0, max_size=200))
 def test_arbitrary_bytes_only_raise_wire_errors(junk):
-    stream = io.BytesIO(junk)
+    stream = FrameStream(io.BytesIO(junk))
     try:
         while True:
-            frame = read_frame(stream)
+            frame = stream.read_frame()
             if frame is None:
                 break
             ftype, payload = frame

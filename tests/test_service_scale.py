@@ -1,12 +1,11 @@
-"""C10k: the event-loop backend holds thousands of idle sessions.
+"""C10k: the event-loop front end holds thousands of idle sessions.
 
 The point of the selectors front end is that an *open* session costs a
 few kilobytes of state, not a thread. The tier-1 smoke leg opens 1k
 sessions against an in-process async server on one thread and checks
 the loop's own gauges; the ``slow``-marked leg (``pytest -m slow``)
-drives 10k sessions against a ``repro serve --backend async``
-subprocess and asserts its resident set stays bounded — the acceptance
-bar in docs/SERVICE.md.
+drives 10k sessions against a ``repro serve`` subprocess and asserts
+its resident set stays bounded — the acceptance bar in docs/SERVICE.md.
 """
 
 import os
@@ -54,7 +53,7 @@ def fetch_stats(host, port):
 def test_1k_idle_sessions_single_thread():
     """Tier-1 smoke: 1000 open sessions on one event-loop thread."""
     sockets = []
-    with ServiceServer(shards=1, backend="async").start() as server:
+    with ServiceServer(shards=1).start() as server:
         try:
             for i in range(1000):
                 sockets.append(open_idle_session(server.host, server.port, i))
@@ -68,6 +67,31 @@ def test_1k_idle_sessions_single_thread():
         finally:
             for sock in sockets:
                 sock.close()
+
+
+def test_closed_connections_leave_the_deadline_wheel():
+    """A closed connection leaves its wheel bucket at once instead of
+    staying pinned, decoders and all, until its read deadline."""
+    with ServiceServer(shards=1).start() as server:
+        loop = server._impl
+        for i in range(500):
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=30
+            )
+            if i % 2:  # half answer a request first, half just hang up
+                sock.sendall(protocol.encode_frame(FrameType.STATS))
+                assert FrameStream(sock.makefile("rb")).read_frame()
+            sock.close()
+        deadline = time.monotonic() + 30
+        while loop.connections_total < 500 or loop._conns:
+            assert time.monotonic() < deadline, "connections never closed"
+            time.sleep(0.01)
+        held = [
+            conn
+            for bucket in list(loop._wheel._buckets.values())
+            for conn in list(bucket)
+        ]
+        assert not [conn for conn in held if conn.closed]
 
 
 def _server_rss_kib(pid):
@@ -86,7 +110,7 @@ def test_10k_idle_sessions_bounded_rss(tmp_path):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0", "--backend", "async", "--shards", "1",
+            "--port", "0", "--shards", "1",
             "--ready-file", str(ready),
         ],
         cwd=str(Path(__file__).resolve().parent.parent),
